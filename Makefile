@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos shard-chaos crash cover bench bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
+.PHONY: all build test race chaos shard-chaos crash cover bench gsvbench gsvbench-test bench-json bench-parallel bench-mvcc bench-overload bench-gate experiments examples fuzz fmt vet ci demo-feed demo-replica trace-smoke overload-smoke clean
 
 all: build vet test
 
@@ -13,7 +13,8 @@ ci:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
-	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./...
+	$(MAKE) gsvbench-test
 	$(MAKE) trace-smoke
 	$(MAKE) overload-smoke
 	$(MAKE) shard-chaos
@@ -60,6 +61,17 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# gsvbench, the end-to-end + per-layer benchmark over real gsdbserve /
+# gsdbreplica processes (benchmark/README.md). Pass flags through ARGS,
+# e.g. make gsvbench ARGS='--workload propagate --seed 1'.
+gsvbench:
+	bash benchmark/run.sh $(ARGS)
+
+# gsvbench's own unit tests. benchmark/ is a separate Go module, so
+# tier-1 `go test ./...` never runs them.
+gsvbench-test:
+	cd benchmark && $(GO) test ./...
 
 # Machine-readable benchmark report: experiment tables plus the E1
 # maintenance micro-benchmarks, written to BENCH_<timestamp>.json

@@ -115,7 +115,6 @@ func main() {
 
 	reg := obs.NewRegistry()
 	r.RegisterObs(reg)
-	server := r.NewServer(reg)
 	// Overload protection is always on (a zero config admits everything
 	// but still counts), so gsv_overload_* is always scrapeable and the
 	// SIGTERM drain below is uniform.
@@ -125,8 +124,7 @@ func main() {
 		QueueWait: *queueWait, MinSlack: *minSlack,
 	})
 	admission.RegisterObs(reg, obs.L("node", *name))
-	server.Admission = admission
-	server.IdleTimeout = *idleTimeout
+	server := r.NewServer(warehouse.ServerConfig{Obs: reg, Admission: admission, IdleTimeout: *idleTimeout})
 
 	if *debug != "" {
 		reg.PublishExpvar("gsv")

@@ -137,16 +137,17 @@ func runFederated(p fedParams) {
 			inj.RegisterObs(reg, name)
 			listeners[k] = inj.WrapListener(ln)
 		}
-		servers[k] = warehouse.NewServer(srcs[k])
-		servers[k].ShardInfo = shardInfo(k)
-		servers[k].Obs = reg
 		// Every shard gets its own admission controller: overload on one
 		// partition sheds there without starving its siblings, and the
 		// per-source label keeps the gsv_overload_* series separable.
 		ac := warehouse.NewAdmissionController(p.admission)
 		ac.RegisterObs(reg, obs.L("source", name))
-		servers[k].Admission = ac
-		servers[k].IdleTimeout = p.idleTimeout
+		servers[k] = warehouse.NewServer(srcs[k], warehouse.ServerConfig{
+			ShardInfo:   shardInfo(k),
+			Obs:         reg,
+			Admission:   ac,
+			IdleTimeout: p.idleTimeout,
+		})
 		srv, lnk := servers[k], listeners[k]
 		go func() {
 			if err := srv.Serve(lnk); err != nil {

@@ -217,14 +217,13 @@ func main() {
 	tr := warehouse.NewTransport(0)
 	src := warehouse.NewSource("gsdbserve", s, rootOID, warehouse.ReportLevel(*level), tr)
 	src.DrainReports()
-	server := warehouse.NewServer(src)
 
 	// The metrics registry is always live (atomic counters cost nothing to
 	// keep); -debugaddr and the stats wire request expose it.
 	reg := obs.NewRegistry()
 	src.RegisterObs(reg)
 	tr.RegisterObs(reg, "source")
-	server.Obs = reg
+	cfg := warehouse.ServerConfig{Obs: reg, IdleTimeout: *idleTimeout}
 
 	// Overload protection is always on (a zero config admits everything
 	// but still counts), so gsv_overload_* is always scrapeable and the
@@ -235,8 +234,7 @@ func main() {
 		QueueWait: *queueWait, MinSlack: *minSlack,
 	})
 	admission.RegisterObs(reg)
-	server.Admission = admission
-	server.IdleTimeout = *idleTimeout
+	cfg.Admission = admission
 
 	// -feed views live in a warehouse co-located with the source; their
 	// maintenance publishes into the hub the server exposes in subscribe
@@ -252,8 +250,8 @@ func main() {
 		lw.Feed = feed.NewHub(feed.Options{RingSize: *feedRing})
 		lw.Feed.RegisterObs(reg)
 		lw.EnableObs(reg)
-		server.Traces = lw.Traces
-		server.Chains = lw.Chains
+		cfg.Traces = lw.Traces
+		cfg.Chains = lw.Chains
 
 		// With -data the warehouse recovers from its last checkpoint plus
 		// the WAL tail before any view definition runs: recovered views
@@ -302,14 +300,15 @@ func main() {
 			}
 			slog.Info("feed view defined", "view", name, "query", qs)
 		}
-		server.Feed = lw.Feed
+		cfg.Feed = lw.Feed
 		// Replicas (gsdbreplica) and other strict readers resolve view
 		// membership through the "members" wire op.
-		server.Members = lw.FreshMembers
+		cfg.Members = lw.FreshMembers
 		// Views quarantined by a failed maintenance step (or a report gap)
 		// are resynced in the background instead of staying stale forever.
 		lw.StartRepairLoop(5 * time.Second)
 	}
+	server := warehouse.NewServer(src, cfg)
 
 	if *debug != "" {
 		reg.PublishExpvar("gsv")

@@ -721,6 +721,24 @@ func saveCursorState(path, view string, cursor uint64) error {
 	return os.Rename(tmp, path)
 }
 
+// dialFollow subscribes to cfg.view alone. With resume set the server
+// replays every event after from, and snapshot asks for a
+// full-membership fallback when that cursor has been evicted. Without a
+// resume cursor snapshot is not sent: it would request a bootstrap
+// snapshot, which a tail never prints.
+func dialFollow(cfg followConfig, resume bool, from uint64, snapshot bool) (*warehouse.FeedStream, warehouse.FeedViewHello, error) {
+	req := warehouse.SubscribeRequest{Views: []string{cfg.view}, Policy: cfg.policy}
+	if resume {
+		req.Froms = map[string]uint64{cfg.view: from}
+		req.Snapshot = snapshot
+	}
+	fc, err := warehouse.DialMultiFeed(cfg.addr, req)
+	if err != nil {
+		return nil, warehouse.FeedViewHello{}, err
+	}
+	return fc, fc.Views[0], nil
+}
+
 // followFeed tails a server-maintained view's changefeed, printing one
 // line per delta event. A broken stream (server restart, network fault)
 // is redialed with the last consumed cursor, so no events are missed as
@@ -728,11 +746,7 @@ func saveCursorState(path, view string, cursor uint64) error {
 // been evicted, the redial falls back to a full-membership snapshot
 // (docs/CHANGEFEED.md) and tails from there.
 func followFeed(out io.Writer, cfg followConfig) error {
-	req := warehouse.FeedRequest{View: cfg.view, Snapshot: cfg.snapshot, Policy: cfg.policy}
-	if cfg.from >= 0 {
-		req.Resume = true
-		req.From = uint64(cfg.from)
-	}
+	resume, from := cfg.from >= 0, uint64(max(cfg.from, 0))
 	if cfg.stateFile != "" {
 		st, ok, err := loadCursorState(cfg.stateFile)
 		if err != nil {
@@ -743,12 +757,11 @@ func followFeed(out io.Writer, cfg followConfig) error {
 				return fmt.Errorf("state file %s tracks view %q, not %q (use a separate file per view)",
 					cfg.stateFile, st.View, cfg.view)
 			}
-			req.Resume = true
-			req.From = st.Cursor
+			resume, from = true, st.Cursor
 			fmt.Fprintf(out, "resuming %s after cursor %d from %s\n", cfg.view, st.Cursor, cfg.stateFile)
 		}
 	}
-	fc, err := warehouse.DialFeed(cfg.addr, req)
+	fc, hello, err := dialFollow(cfg, resume, from, cfg.snapshot)
 	if err != nil {
 		if errors.Is(err, feed.ErrCursorExpired) {
 			return fmt.Errorf("%w (rerun with -snapshot to recover from a full snapshot)", err)
@@ -760,7 +773,7 @@ func followFeed(out io.Writer, cfg followConfig) error {
 	// under mu so the timer always closes the current connection.
 	var mu sync.Mutex
 	cur := fc
-	setCur := func(c *warehouse.FeedClient) {
+	setCur := func(c *warehouse.FeedStream) {
 		mu.Lock()
 		cur = c
 		mu.Unlock()
@@ -775,21 +788,21 @@ func followFeed(out io.Writer, cfg followConfig) error {
 	var deadline time.Time
 	if cfg.dur > 0 {
 		deadline = time.Now().Add(cfg.dur)
-		// FeedClient.Next has no timeout of its own; closing the client
-		// unblocks it when the watch window ends.
+		// Next has no timeout of its own; closing the client unblocks it
+		// when the watch window ends.
 		timer := time.AfterFunc(cfg.dur, closeCur)
 		defer timer.Stop()
 	}
 	expired := func() bool { return !deadline.IsZero() && !time.Now().Before(deadline) }
 
-	fmt.Fprintf(out, "following %s at cursor %d (oldest retained %d)\n", fc.View, fc.Cursor, fc.Oldest)
-	lastCursor := fc.Cursor
-	if req.Resume {
-		lastCursor = req.From
+	fmt.Fprintf(out, "following %s at cursor %d (oldest retained %d)\n", hello.View, hello.Cursor, hello.Oldest)
+	lastCursor := hello.Cursor
+	if resume {
+		lastCursor = from
 	}
-	if fc.Snapshot != nil {
-		fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", fc.Snapshot.Cursor, fc.View, fc.Snapshot.Members)
-		lastCursor = fc.Snapshot.Cursor
+	if hello.Snapshot != nil {
+		fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", hello.Snapshot.Cursor, hello.View, hello.Snapshot.Members)
+		lastCursor = hello.Snapshot.Cursor
 	}
 	// persist acknowledges lastCursor in the state file; a write failure
 	// is reported but does not end the follow (the stream is still good).
@@ -805,7 +818,7 @@ func followFeed(out io.Writer, cfg followConfig) error {
 
 	n := 0
 	for cfg.maxEvents == 0 || n < cfg.maxEvents {
-		ev, err := cur.Next()
+		fr, err := cur.Next()
 		if err != nil {
 			if expired() {
 				break // our own deadline closed the stream
@@ -829,6 +842,10 @@ func followFeed(out io.Writer, cfg followConfig) error {
 			}
 			continue
 		}
+		ev := fr.Event
+		if ev == nil {
+			continue // progress heartbeat
+		}
 		fmt.Fprintf(out, "cursor=%d seq=%d %s(%s) +%v -%v\n",
 			ev.Cursor, ev.Seq, ev.Kind, ev.N1, ev.Insert, ev.Delete)
 		lastCursor = ev.Cursor
@@ -844,29 +861,25 @@ func followFeed(out io.Writer, cfg followConfig) error {
 // server's replay ring it falls back to a snapshot subscription. It
 // returns the new client and the cursor to resume from next time (the
 // snapshot position, when one was taken).
-func redialFeed(out io.Writer, cfg followConfig, lastCursor uint64, deadline time.Time) (*warehouse.FeedClient, uint64, error) {
+func redialFeed(out io.Writer, cfg followConfig, lastCursor uint64, deadline time.Time) (*warehouse.FeedStream, uint64, error) {
 	var lastErr error
 	for attempt := 0; deadline.IsZero() || time.Now().Before(deadline); attempt++ {
 		if attempt > 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
-		req := warehouse.FeedRequest{
-			View: cfg.view, Resume: true, From: lastCursor, Policy: cfg.policy,
-		}
-		fc, err := warehouse.DialFeed(cfg.addr, req)
+		fc, hello, err := dialFollow(cfg, true, lastCursor, false)
 		if errors.Is(err, feed.ErrCursorExpired) {
 			// Events since lastCursor are gone; recover via snapshot.
-			req.Snapshot = true
-			fc, err = warehouse.DialFeed(cfg.addr, req)
+			fc, hello, err = dialFollow(cfg, true, lastCursor, true)
 		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		fmt.Fprintf(out, "reconnected to %s at cursor %d (resuming after %d)\n", cfg.view, fc.Cursor, lastCursor)
-		if fc.Snapshot != nil {
-			fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", fc.Snapshot.Cursor, cfg.view, fc.Snapshot.Members)
-			lastCursor = fc.Snapshot.Cursor
+		fmt.Fprintf(out, "reconnected to %s at cursor %d (resuming after %d)\n", cfg.view, hello.Cursor, lastCursor)
+		if hello.Snapshot != nil {
+			fmt.Fprintf(out, "snapshot@%d value(%s) = %v\n", hello.Snapshot.Cursor, cfg.view, hello.Snapshot.Members)
+			lastCursor = hello.Snapshot.Cursor
 		}
 		return fc, lastCursor, nil
 	}

@@ -20,8 +20,10 @@ import (
 
 // startServer serves the PERSON database on a loopback listener with a
 // co-located warehouse maintaining the YP view into a changefeed hub —
-// the gsdbserve -feed arrangement, in process.
-func startServer(t *testing.T, ring int) (*warehouse.Source, *warehouse.Warehouse, *warehouse.Server, string) {
+// the gsdbserve -feed arrangement, in process. Each configure hook may
+// adjust the warehouse and the server configuration before the server
+// is built.
+func startServer(t *testing.T, ring int, configure ...func(*warehouse.Warehouse, *warehouse.ServerConfig)) (*warehouse.Source, *warehouse.Warehouse, *warehouse.Server, string) {
 	t.Helper()
 	s := store.NewDefault()
 	workload.PersonDB(s)
@@ -33,8 +35,11 @@ func startServer(t *testing.T, ring int) (*warehouse.Source, *warehouse.Warehous
 	if _, err := lw.DefineView("YP", q, warehouse.ViewConfig{Screening: true}); err != nil {
 		t.Fatal(err)
 	}
-	server := warehouse.NewServer(src)
-	server.Feed = lw.Feed
+	cfg := warehouse.ServerConfig{Feed: lw.Feed}
+	for _, f := range configure {
+		f(lw, &cfg)
+	}
+	server := warehouse.NewServer(src, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +47,16 @@ func startServer(t *testing.T, ring int) (*warehouse.Source, *warehouse.Warehous
 	go func() { _ = server.Serve(ln) }()
 	t.Cleanup(server.Close)
 	return src, lw, server, ln.Addr().String()
+}
+
+// withObs is a startServer hook that serves stats from a fresh registry
+// carrying the warehouse's view instruments and traces.
+func withObs(lw *warehouse.Warehouse, cfg *warehouse.ServerConfig) {
+	reg := obs.NewRegistry()
+	lw.Feed.RegisterObs(reg)
+	lw.EnableObs(reg)
+	cfg.Obs = reg
+	cfg.Traces = lw.Traces
 }
 
 // toggle flips P1 in and out of YP n times: each call is one feed event.
@@ -199,8 +214,7 @@ func TestFollowFeedSurvivesServerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	server2 := warehouse.NewServer(src)
-	server2.Feed = lw.Feed
+	server2 := warehouse.NewServer(src, warehouse.ServerConfig{Feed: lw.Feed})
 	go func() { _ = server2.Serve(ln) }()
 	t.Cleanup(server2.Close)
 
@@ -284,15 +298,10 @@ func TestWatchViewOverTCP(t *testing.T) {
 }
 
 func TestStatsRendersViewTable(t *testing.T) {
-	src, lw, server, addr := startServer(t, 1024)
-	reg := obs.NewRegistry()
 	// Enable observability after the view exists: EnableObs is wired at
 	// DefineView time in gsdbserve, but registration is idempotent enough
 	// for the test to re-register the existing view's instruments.
-	lw.Feed.RegisterObs(reg)
-	lw.EnableObs(reg)
-	server.Obs = reg
-	server.Traces = lw.Traces
+	src, lw, server, addr := startServer(t, 1024, withObs)
 	toggle(t, src, lw, server, 4)
 
 	var out strings.Builder
@@ -312,9 +321,10 @@ func TestStatsRendersViewTable(t *testing.T) {
 }
 
 func TestStatsRendersReplicaSection(t *testing.T) {
-	src, lw, server, addr := startServer(t, 1024)
-	server.Members = lw.FreshMembers
-	server.FeedProgressInterval = 20 * time.Millisecond
+	src, lw, server, addr := startServer(t, 1024, func(lw *warehouse.Warehouse, cfg *warehouse.ServerConfig) {
+		cfg.Members = lw.FreshMembers
+		cfg.FeedProgressInterval = 20 * time.Millisecond
+	})
 	toggle(t, src, lw, server, 2)
 
 	rep, err := replica.New(replica.Options{Name: "watched", Primary: addr})
@@ -327,7 +337,7 @@ func TestStatsRendersReplicaSection(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rep.RegisterObs(reg)
-	rsrv := rep.NewServer(reg)
+	rsrv := rep.NewServer(warehouse.ServerConfig{Obs: reg})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -348,12 +358,7 @@ func TestStatsRendersReplicaSection(t *testing.T) {
 }
 
 func TestStatsWatchRefreshes(t *testing.T) {
-	src, lw, server, addr := startServer(t, 1024)
-	reg := obs.NewRegistry()
-	lw.Feed.RegisterObs(reg)
-	lw.EnableObs(reg)
-	server.Obs = reg
-	server.Traces = lw.Traces
+	src, lw, server, addr := startServer(t, 1024, withObs)
 	toggle(t, src, lw, server, 2)
 
 	var out strings.Builder
@@ -460,8 +465,9 @@ func TestFollowFeedStateFileResume(t *testing.T) {
 // ends when the drain completes — redial while the primary is gone, and
 // resume exactly where it left off once a new primary binds.
 func TestFollowFeedSurvivesDrainRestart(t *testing.T) {
-	src, lw, server, addr := startServer(t, 1024)
-	server.DrainGrace = 20 * time.Millisecond
+	src, lw, server, addr := startServer(t, 1024, func(_ *warehouse.Warehouse, cfg *warehouse.ServerConfig) {
+		cfg.DrainGrace = 20 * time.Millisecond
+	})
 
 	done := make(chan error, 1)
 	var mu sync.Mutex
@@ -511,8 +517,7 @@ func TestFollowFeedSurvivesDrainRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	server2 := warehouse.NewServer(src)
-	server2.Feed = lw.Feed
+	server2 := warehouse.NewServer(src, warehouse.ServerConfig{Feed: lw.Feed})
 	go func() { _ = server2.Serve(ln) }()
 	t.Cleanup(server2.Close)
 

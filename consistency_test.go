@@ -147,7 +147,7 @@ func TestAllStrategiesAgree(t *testing.T) {
 			// Warehouse over real TCP.
 			tcpSrc := warehouse.NewSource("tcp", base, "REL", warehouse.Level2, warehouse.NewTransport(0))
 			tcpSrc.DrainReports()
-			server := warehouse.NewServer(tcpSrc)
+			server := warehouse.NewServer(tcpSrc, warehouse.ServerConfig{})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)

@@ -22,7 +22,7 @@ func main() {
 	workload.PersonDB(base)
 	src := warehouse.NewSource("persons", base, "ROOT", warehouse.Level2, warehouse.NewTransport(0))
 	src.DrainReports()
-	server := warehouse.NewServer(src)
+	server := warehouse.NewServer(src, warehouse.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	must(err)
 	go func() { _ = server.Serve(ln) }()

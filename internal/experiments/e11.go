@@ -47,7 +47,7 @@ func E11WireValidation(cfg Config) *Table {
 		var tr *warehouse.Transport = srcTr
 		var server *warehouse.Server
 		if overTCP {
-			server = warehouse.NewServer(src)
+			server = warehouse.NewServer(src, warehouse.ServerConfig{})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				panic(err)

@@ -110,10 +110,11 @@ func e14Run(cfg Config, n int, window time.Duration) (applied int, res workload.
 			panic(err)
 		}
 	}
-	server := warehouse.NewServer(src)
-	server.Feed = w.Feed
-	server.Members = w.FreshMembers
-	server.FeedProgressInterval = 25 * time.Millisecond
+	server := warehouse.NewServer(src, warehouse.ServerConfig{
+		Feed:                 w.Feed,
+		Members:              w.FreshMembers,
+		FeedProgressInterval: 25 * time.Millisecond,
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -143,7 +144,7 @@ func e14Run(cfg Config, n int, window time.Duration) (applied int, res workload.
 		if !r.WaitCaughtUp(10 * time.Second) {
 			panic("E14: replica never caught up")
 		}
-		rsrv := r.NewServer(nil)
+		rsrv := r.NewServer(warehouse.ServerConfig{})
 		rln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err)

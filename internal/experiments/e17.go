@@ -116,7 +116,7 @@ func E17OverloadShedding(cfg Config) *Table {
 // experiment's query over the wire: the median of 15 runs against a
 // dedicated server with one client.
 func e17Calibrate(src *warehouse.Source) time.Duration {
-	server := warehouse.NewServer(src)
+	server := warehouse.NewServer(src, warehouse.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -145,8 +145,7 @@ func e17Calibrate(src *warehouse.Source) time.Duration {
 // admission control) under clients closed-loop budgeted readers.
 func e17Run(cfg Config, src *warehouse.Source, admission *warehouse.AdmissionController,
 	clients int, budget time.Duration, window time.Duration) workload.BudgetedReadResult {
-	server := warehouse.NewServer(src)
-	server.Admission = admission
+	server := warehouse.NewServer(src, warehouse.ServerConfig{Admission: admission})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -169,9 +168,10 @@ func e17Run(cfg Config, src *warehouse.Source, admission *warehouse.AdmissionCon
 // against a local evaluation, and that the typed shed error never
 // leaks into a normal answer path.
 func e17Verify(src *warehouse.Source) {
-	server := warehouse.NewServer(src)
-	server.Admission = warehouse.NewAdmissionController(warehouse.AdmissionConfig{
-		MaxInflight: 16, MaxQueue: 16,
+	server := warehouse.NewServer(src, warehouse.ServerConfig{
+		Admission: warehouse.NewAdmissionController(warehouse.AdmissionConfig{
+			MaxInflight: 16, MaxQueue: 16,
+		}),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

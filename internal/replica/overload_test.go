@@ -30,13 +30,11 @@ func TestReplicaDrainShedsDataReads(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	r.RegisterObs(reg)
-	rsrv := r.NewServer(reg)
 	ac := warehouse.NewAdmissionController(warehouse.AdmissionConfig{})
 	ac.RegisterObs(reg, obs.L("node", "r1"))
-	rsrv.Admission = ac
 	// The grace window keeps the server answering established
 	// connections long enough for the assertions below.
-	rsrv.DrainGrace = time.Second
+	rsrv := r.NewServer(warehouse.ServerConfig{Obs: reg, Admission: ac, DrainGrace: time.Second})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

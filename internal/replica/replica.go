@@ -160,7 +160,7 @@ type Replica struct {
 	// connMu guards the live feed connection so Close and Bounce can
 	// break a blocked Next.
 	connMu   sync.Mutex
-	feedConn *warehouse.MultiFeedClient
+	feedConn *warehouse.FeedStream
 
 	// waitMu/waitCond park Wait* callers until progress is made
 	// (checkCaughtUp, reconcileView, Close all broadcast) instead of
@@ -470,17 +470,17 @@ func (r *Replica) Ready() error { return r.lagExceeded() }
 // NewServer wires a warehouse.Server that serves this replica's state
 // read-only: queries and stats answer from the replica store, "members"
 // from the replicated views, the feed from the republished hub, and
-// every data read passes the staleness gate.
-func (r *Replica) NewServer(reg *obs.Registry) *warehouse.Server {
+// every data read passes the staleness gate. The replica sets cfg's
+// Feed, Members, ReadGate, Chains and Node; the caller supplies the
+// rest (Obs, Admission, IdleTimeout, DrainGrace, ...).
+func (r *Replica) NewServer(cfg warehouse.ServerConfig) *warehouse.Server {
 	src := warehouse.NewSource(r.opts.Name, r.store, oem.NoOID, warehouse.Level1, warehouse.NewTransport(0))
-	srv := warehouse.NewServer(src)
-	srv.Feed = r.hub
-	srv.Obs = reg
-	srv.Members = r.Members
-	srv.ReadGate = r.ReadGate
-	srv.Chains = r.chains
-	srv.Node = r.opts.Name
-	return srv
+	cfg.Feed = r.hub
+	cfg.Members = r.Members
+	cfg.ReadGate = r.ReadGate
+	cfg.Chains = r.chains
+	cfg.Node = r.opts.Name
+	return warehouse.NewServer(src, cfg)
 }
 
 // RegisterObs exposes the replica's instruments on reg.
@@ -597,7 +597,7 @@ func (r *Replica) run() {
 		if r.closed.Load() {
 			return
 		}
-		req := warehouse.MultiFeedRequest{
+		req := warehouse.SubscribeRequest{
 			Views: []string{"*"}, Snapshot: true, Froms: map[string]uint64{},
 			IOTimeout:   r.opts.FeedIdleTimeout,
 			ReadTimeout: r.opts.FeedIdleTimeout,
@@ -646,7 +646,7 @@ func (r *Replica) run() {
 // handleStream consumes one multi-view connection: reconcile per-view
 // handshake state, then apply events and progress frames until the
 // stream breaks.
-func (r *Replica) handleStream(mfc *warehouse.MultiFeedClient) {
+func (r *Replica) handleStream(mfc *warehouse.FeedStream) {
 	r.connMu.Lock()
 	if r.closed.Load() {
 		r.connMu.Unlock()

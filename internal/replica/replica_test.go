@@ -59,11 +59,11 @@ func startPrimary(t testing.TB, ring int) *primary {
 // (used for restart tests, which rebind on the same address).
 func newServer(t testing.TB, p *primary) *warehouse.Server {
 	t.Helper()
-	srv := warehouse.NewServer(p.src)
-	srv.Feed = p.w.Feed
-	srv.Members = p.w.FreshMembers
-	srv.FeedProgressInterval = 20 * time.Millisecond
-	return srv
+	return warehouse.NewServer(p.src, warehouse.ServerConfig{
+		Feed:                 p.w.Feed,
+		Members:              p.w.FreshMembers,
+		FeedProgressInterval: 20 * time.Millisecond,
+	})
 }
 
 // rebind restarts the primary's server on its previous address.
@@ -165,7 +165,7 @@ func TestReplicaServesWireProtocol(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	r.RegisterObs(reg)
-	rsrv := r.NewServer(reg)
+	rsrv := r.NewServer(warehouse.ServerConfig{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -210,17 +210,22 @@ func TestReplicaServesWireProtocol(t *testing.T) {
 	// cursor numbering.
 	p.toggle(t, 2)
 	waitSynced(t, p, r)
-	fc, err := warehouse.DialFeed(ln.Addr().String(), warehouse.FeedRequest{View: "YP", Resume: true, From: r.Applied("YP") - 2})
+	fc, err := warehouse.DialMultiFeed(ln.Addr().String(), warehouse.SubscribeRequest{
+		Views: []string{"YP"}, Froms: map[string]uint64{"YP": r.Applied("YP") - 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	ev, err := fc.Next()
+	fr, err := fc.Next()
+	for err == nil && fr.Event == nil {
+		fr, err = fc.Next() // skip progress frames
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Cursor != r.Applied("YP")-1 {
-		t.Fatalf("republished cursor = %d, want %d", ev.Cursor, r.Applied("YP")-1)
+	if fr.Event.Cursor != r.Applied("YP")-1 {
+		t.Fatalf("republished cursor = %d, want %d", fr.Event.Cursor, r.Applied("YP")-1)
 	}
 }
 
@@ -360,7 +365,7 @@ func TestReplicaReadGate(t *testing.T) {
 	}
 
 	// Serve the replica so the rejection is visible over the wire too.
-	rsrv := r.NewServer(nil)
+	rsrv := r.NewServer(warehouse.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +448,7 @@ func TestReplicaNewFailsWhenPrimaryDown(t *testing.T) {
 
 func TestDialMultiFeedUnknownView(t *testing.T) {
 	p := startPrimary(t, 64)
-	_, err := warehouse.DialMultiFeed(p.addr, warehouse.MultiFeedRequest{Views: []string{"NOPE"}})
+	_, err := warehouse.DialMultiFeed(p.addr, warehouse.SubscribeRequest{Views: []string{"NOPE"}})
 	if err == nil {
 		t.Fatal("subscribing to an unknown view succeeded")
 	}
@@ -502,10 +507,11 @@ func TestReplicaDegradedPrimaryPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := warehouse.NewServer(src)
-	srv.Feed = w.Feed
-	srv.Members = w.FreshMembers
-	srv.FeedProgressInterval = 20 * time.Millisecond
+	srv := warehouse.NewServer(src, warehouse.ServerConfig{
+		Feed:                 w.Feed,
+		Members:              w.FreshMembers,
+		FeedProgressInterval: 20 * time.Millisecond,
+	})
 	go func() { _ = srv.Serve(inj.WrapListener(ln)) }()
 	t.Cleanup(srv.Close)
 	p := &primary{src: src, w: w, server: srv, addr: ln.Addr().String()}

@@ -56,11 +56,11 @@ func TestReplicaChaosSoak(t *testing.T) {
 		Delay:     200 * time.Microsecond,
 	})
 	newServer := func() *warehouse.Server {
-		srv := warehouse.NewServer(src)
-		srv.Feed = w.Feed
-		srv.Members = w.FreshMembers
-		srv.FeedProgressInterval = 15 * time.Millisecond
-		return srv
+		return warehouse.NewServer(src, warehouse.ServerConfig{
+			Feed:                 w.Feed,
+			Members:              w.FreshMembers,
+			FeedProgressInterval: 15 * time.Millisecond,
+		})
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -66,13 +66,14 @@ func TestPropagationTraceSoak(t *testing.T) {
 		DelayProb: 0.05,
 		Delay:     200 * time.Microsecond,
 	})
-	server := warehouse.NewServer(src)
-	server.Feed = w.Feed
-	server.Members = w.FreshMembers
-	server.Obs = reg
-	server.Traces = w.Traces
-	server.Chains = w.Chains
-	server.FeedProgressInterval = 15 * time.Millisecond
+	server := warehouse.NewServer(src, warehouse.ServerConfig{
+		Feed:                 w.Feed,
+		Members:              w.FreshMembers,
+		Obs:                  reg,
+		Traces:               w.Traces,
+		Chains:               w.Chains,
+		FeedProgressInterval: 15 * time.Millisecond,
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestPropagationTraceSoak(t *testing.T) {
 	}
 	rreg := obs.NewRegistry()
 	r.RegisterObs(rreg)
-	rsrv := r.NewServer(rreg)
+	rsrv := r.NewServer(warehouse.ServerConfig{Obs: rreg})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

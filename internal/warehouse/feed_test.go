@@ -1,10 +1,12 @@
 package warehouse
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"gsv/internal/feed"
 	"gsv/internal/oem"
@@ -254,8 +256,7 @@ func startFeedServer(t *testing.T, ring int) (*Source, *Warehouse, *Server, stri
 	if _, err := w.DefineView("YP", query.MustParse("SELECT ROOT.professor X WHERE X.age <= 45"), ViewConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(src)
-	server.Feed = w.Feed
+	server := NewServer(src, ServerConfig{Feed: w.Feed})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,32 +285,55 @@ func toggleA1(t *testing.T, src *Source, w *Warehouse, n int) {
 	}
 }
 
-// TestFeedOverTCP drives the subscribe connection mode end to end:
-// handshake, live tailing, resume after disconnect, and the
-// expired-cursor snapshot fallback.
+// dialYP subscribes to the YP feed alone, resuming after from when it
+// is non-negative.
+func dialYP(addr string, from int64, snapshot bool) (*FeedStream, error) {
+	req := SubscribeRequest{Views: []string{"YP"}, Snapshot: snapshot, IOTimeout: 2 * time.Second}
+	if from >= 0 {
+		req.Froms = map[string]uint64{"YP": uint64(from)}
+	}
+	return DialMultiFeed(addr, req)
+}
+
+// nextEvent returns the next event on mc, skipping progress frames.
+func nextEvent(mc *FeedStream) (feed.Event, error) {
+	for {
+		fr, err := mc.Next()
+		if err != nil {
+			return feed.Event{}, err
+		}
+		if fr.Event != nil {
+			return *fr.Event, nil
+		}
+	}
+}
+
+// TestFeedOverTCP drives the subscribe connection mode end to end for a
+// single view: handshake, live tailing, resume after disconnect, and
+// the expired-cursor snapshot fallback.
 func TestFeedOverTCP(t *testing.T) {
 	src, w, _, addr := startFeedServer(t, 4)
 
-	if _, err := DialFeed(addr, FeedRequest{View: "NOPE"}); err == nil {
+	if _, err := DialMultiFeed(addr, SubscribeRequest{Views: []string{"NOPE"}}); err == nil {
 		t.Fatal("subscribing to an unknown view succeeded")
 	}
 
-	fc, err := DialFeed(addr, FeedRequest{View: "YP"})
+	fc, err := dialYP(addr, -1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.View != "YP" || fc.Cursor != 0 || fc.Snapshot != nil {
-		t.Fatalf("hello = %+v", fc)
+	if len(fc.Views) != 1 || fc.Views[0].View != "YP" || fc.Views[0].Cursor != 0 || fc.Views[0].Snapshot != nil {
+		t.Fatalf("hello = %+v", fc.Views)
 	}
 	toggleA1(t, src, w, 2)
-	ev, err := fc.Next()
+	ev, err := nextEvent(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Cursor != 1 || len(ev.Delete) != 1 || ev.Delete[0] != "P1" {
 		t.Fatalf("event 1 = %+v", ev)
 	}
-	ev, err = fc.Next()
+	ev, err = nextEvent(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +344,12 @@ func TestFeedOverTCP(t *testing.T) {
 
 	// Resume within the ring: no gaps, no duplicates.
 	toggleA1(t, src, w, 2) // cursors 3, 4
-	fc, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 2})
+	fc, err = dialYP(addr, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for want := uint64(3); want <= 4; want++ {
-		ev, err := fc.Next()
+		ev, err := nextEvent(fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,30 +362,31 @@ func TestFeedOverTCP(t *testing.T) {
 	// Overflow the 4-slot ring while disconnected: plain resume must fail
 	// with a cursor-expired error the client can distinguish.
 	toggleA1(t, src, w, 8) // cursors 5..12; ring holds 9..12
-	_, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 4})
+	_, err = dialYP(addr, 4, false)
 	if !errors.Is(err, feed.ErrCursorExpired) {
 		t.Fatalf("expired resume error = %v", err)
 	}
 
 	// Snapshot fallback: full membership plus a tail from the snapshot
 	// cursor.
-	fc, err = DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 4, Snapshot: true})
+	fc, err = dialYP(addr, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	if fc.Snapshot == nil {
+	snap := fc.Views[0].Snapshot
+	if snap == nil {
 		t.Fatal("no snapshot in fallback hello")
 	}
-	if fc.Snapshot.Cursor != 12 {
-		t.Fatalf("snapshot cursor = %d", fc.Snapshot.Cursor)
+	if snap.Cursor != 12 {
+		t.Fatalf("snapshot cursor = %d", snap.Cursor)
 	}
 	// After an even number of toggles P1 is back in the view.
-	if !oem.SameMembers(fc.Snapshot.Members, []oem.OID{"P1"}) {
-		t.Fatalf("snapshot members = %v", fc.Snapshot.Members)
+	if !oem.SameMembers(snap.Members, []oem.OID{"P1"}) {
+		t.Fatalf("snapshot members = %v", snap.Members)
 	}
 	toggleA1(t, src, w, 1)
-	ev, err = fc.Next()
+	ev, err = nextEvent(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +399,39 @@ func TestFeedOverTCP(t *testing.T) {
 // feed's head.
 func TestFeedTCPFutureCursor(t *testing.T) {
 	_, _, _, addr := startFeedServer(t, 16)
-	_, err := DialFeed(addr, FeedRequest{View: "YP", Resume: true, From: 99})
+	_, err := dialYP(addr, 99, false)
 	if err == nil || errors.Is(err, feed.ErrCursorExpired) {
 		t.Fatalf("future resume error = %v", err)
+	}
+}
+
+// TestFeedTCPNoViews pins the answer to a subscribe request that names
+// no view: an error hello, then the server closes the connection.
+func TestFeedTCPNoViews(t *testing.T) {
+	_, _, _, addr := startFeedServer(t, 16)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte("subscribe\n{\"view\":\"YP\"}\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello feedHello
+	if err := decodeFrame(line, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if hello.Err != errNoViews.Error() || len(hello.Views) != 0 {
+		t.Fatalf("hello = %+v, want the no-views error", hello)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("read after error hello = %v, want io.EOF", err)
 	}
 }
 
@@ -384,13 +439,13 @@ func TestFeedTCPFutureCursor(t *testing.T) {
 // subscribe streams rather than leaving clients hanging.
 func TestFeedTCPServerClose(t *testing.T) {
 	_, _, server, addr := startFeedServer(t, 16)
-	fc, err := DialFeed(addr, FeedRequest{View: "YP"})
+	fc, err := dialYP(addr, -1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fc.Close()
 	server.Close()
-	if _, err := fc.Next(); err == nil {
+	if _, err := nextEvent(fc); err == nil {
 		t.Fatal("Next succeeded after server close")
 	} else if err != io.EOF {
 		// A reset is also acceptable; just require termination.

@@ -44,7 +44,7 @@ func FuzzNetFrame(f *testing.F) {
 	workload.PersonDB(s)
 	src := NewSource("fuzz", s, "ROOT", Level2, NewTransport(0))
 	src.DrainReports()
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var req netRequest

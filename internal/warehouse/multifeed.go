@@ -14,28 +14,98 @@ import (
 	"time"
 
 	"gsv/internal/feed"
+	"gsv/internal/oem"
 )
 
-// This file extends the "subscribe" connection mode with a multi-view
-// subscription: a feedRequest whose Views field is non-empty asks for
-// every named view's events (["*"] = every view the hub knows) on one
-// connection, instead of one connection per view. The server's frames
-// become FeedFrame envelopes — either one feed.Event or one FeedProgress
+// This file is the "subscribe" connection mode. The client sends one
+// feedRequest naming the views to follow (["*"] = every view the hub
+// knows; a single view is a one-element list) on one connection. The
+// server answers one feedHello carrying per-view state, then streams
+// FeedFrame envelopes — either one feed.Event or one FeedProgress
 // heartbeat carrying the primary's base sequence number and per-view
 // feed cursors. Progress frames are what let a replica measure its lag
 // even when base updates are screened out of every view (no events flow,
 // but Seq advances); see docs/REPLICA.md.
 //
-// Version mismatch: an old server ignores the Views field and subscribes
-// to the empty single-view name, which fails with the hub's unknown-view
-// error for ""; DialMultiFeed maps exactly that shape to
-// ErrUnsupportedRequest so callers can degrade to per-view DialFeed.
+// Version mismatch: a server that predates multi-view subscriptions
+// ignores the Views field and subscribes to the empty single-view name,
+// which fails with the hub's unknown-view error for ""; DialMultiFeed
+// maps exactly that shape to ErrUnsupportedRequest.
 
-// defaultFeedProgressInterval paces progress frames on multi-view
-// subscriptions.
+// defaultFeedProgressInterval paces progress frames on subscriptions.
 const defaultFeedProgressInterval = 500 * time.Millisecond
 
-// FeedProgress is the multi-view heartbeat frame: where the primary is.
+// errNoFeed answers a subscription on a server configured without a hub.
+var errNoFeed = errors.New("warehouse: server has no feed")
+
+// errNoViews rejects a subscribe request that names no view.
+var errNoViews = errors.New("warehouse: subscribe request names no views")
+
+// feedRequest is the first (and only) frame a subscribe-mode client
+// sends: which views to follow and how.
+type feedRequest struct {
+	// View is never set. The key stays on the wire so the request bytes
+	// are unchanged across versions, and a server that predates the
+	// Views field answers its unknown-view error for "" — the
+	// version-mismatch signal DialMultiFeed detects.
+	View string `json:"view"`
+	// Snapshot requests a full membership snapshot for every view without
+	// a resume cursor, and snapshot fallback (instead of an error) for
+	// every view whose resume cursor was evicted from the replay ring.
+	Snapshot bool `json:"snapshot,omitempty"`
+	// Policy selects the slow-consumer policy ("block", "drop-oldest",
+	// "disconnect"); empty means the hub default.
+	Policy string `json:"policy,omitempty"`
+	// Buffer sizes the per-subscriber channel; 0 means the hub default.
+	Buffer int `json:"buffer,omitempty"`
+	// Views names the views to follow; ["*"] subscribes to every view the
+	// hub knows. A request without views is rejected.
+	Views []string `json:"views,omitempty"`
+	// Froms maps view name to the last cursor the client consumed; a
+	// view listed in Views but absent here tails from the current cursor
+	// (with a full snapshot when Snapshot is set).
+	Froms map[string]uint64 `json:"froms,omitempty"`
+}
+
+// FeedSnapshot carries a full view membership: a snapshot bootstrap, or
+// the fallback when a resume cursor has expired and the client asked for
+// it.
+type FeedSnapshot struct {
+	// Cursor is the feed position the membership corresponds to; resume
+	// from it after applying Members.
+	Cursor uint64 `json:"cursor"`
+	// Members is the complete view membership at Cursor.
+	Members []oem.OID `json:"members"`
+}
+
+// feedHello is the server's first frame in subscribe mode. Either Err is
+// set (and the connection closes), or the subscription is live.
+type feedHello struct {
+	Err string `json:"err,omitempty"`
+	// Expired marks Err as a cursor-expiry (feed.ErrCursorExpired), so
+	// clients can distinguish "resubscribe with snapshot" from fatal
+	// errors.
+	Expired bool `json:"expired,omitempty"`
+	// Cursor and Oldest are always zero: per-view positions travel in
+	// Views. The keys stay on the wire so the hello bytes are unchanged
+	// across versions.
+	Cursor uint64 `json:"cursor"`
+	Oldest uint64 `json:"oldest"`
+	// Seq is the primary's base sequence number at subscribe time.
+	Seq uint64 `json:"seq,omitempty"`
+	// Views holds one handshake entry per subscribed view.
+	Views []FeedViewHello `json:"views,omitempty"`
+}
+
+// feedExpiredError carries the server's expired-cursor message while
+// keeping errors.Is(err, feed.ErrCursorExpired) true across the wire,
+// without repeating the sentinel's text in the rendered message.
+type feedExpiredError struct{ msg string }
+
+func (e *feedExpiredError) Error() string { return e.msg }
+func (e *feedExpiredError) Unwrap() error { return feed.ErrCursorExpired }
+
+// FeedProgress is the heartbeat frame: where the primary is.
 type FeedProgress struct {
 	// Seq is the primary's base-store sequence number at send time.
 	Seq uint64 `json:"seq"`
@@ -45,13 +115,13 @@ type FeedProgress struct {
 	Cursors map[string]uint64 `json:"cursors,omitempty"`
 }
 
-// FeedFrame is one multi-view stream frame: exactly one field is set.
+// FeedFrame is one subscribe-mode stream frame: exactly one field is set.
 type FeedFrame struct {
 	Event    *feed.Event   `json:"event,omitempty"`
 	Progress *FeedProgress `json:"progress,omitempty"`
 }
 
-// FeedViewHello is one view's slice of a multi-view handshake.
+// FeedViewHello is one view's slice of the subscribe handshake.
 type FeedViewHello struct {
 	View string `json:"view"`
 	// Cursor is the view's feed position at subscribe time.
@@ -63,14 +133,40 @@ type FeedViewHello struct {
 	Snapshot *FeedSnapshot `json:"snapshot,omitempty"`
 }
 
-// handleMultiSubscribe serves one multi-view subscription: subscribe to
-// every requested view, answer one hello carrying per-view state, then
-// interleave events from all views with periodic progress frames on a
-// single writer.
-func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json.Encoder, hub *feed.Hub, req feedRequest) {
+// handleSubscribe serves one subscription: subscribe to every requested
+// view, answer one hello carrying per-view state, then interleave events
+// from all views with periodic progress frames on a single writer.
+func (s *Server) handleSubscribe(conn net.Conn, br *bufio.Reader) {
+	enc := json.NewEncoder(conn)
 	fail := func(err error) {
-		s.armWrite(conn)
 		_ = enc.Encode(feedHello{Err: err.Error(), Expired: errors.Is(err, feed.ErrCursorExpired)})
+	}
+	hub := s.cfg.Feed
+	if hub == nil {
+		fail(errNoFeed)
+		return
+	}
+	sc := frameScanner(br)
+	s.armRead(conn)
+	if !sc.Scan() {
+		return
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	var req feedRequest
+	if err := decodeFrame(sc.Bytes(), &req); err != nil {
+		fail(err)
+		return
+	}
+	if len(req.Views) == 0 {
+		fail(errNoViews)
+		return
+	}
+	if ac := s.cfg.Admission; ac != nil {
+		if !ac.AdmitStream() {
+			fail(ErrOverloaded)
+			return
+		}
+		defer ac.ReleaseStream()
 	}
 	policy, err := feed.ParsePolicy(req.Policy)
 	if err != nil {
@@ -88,7 +184,7 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 			sub.Close()
 		}
 	}
-	hello := feedHello{Seq: s.Src.Store.Seq()}
+	hello := feedHello{Seq: s.src.Store.Seq()}
 	seen := make(map[string]bool, len(views))
 	for _, view := range views {
 		if seen[view] {
@@ -138,7 +234,6 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 	s.feedSubs = append(s.feedSubs, subs...)
 	s.mu.Unlock()
 
-	s.armWrite(conn)
 	if err := enc.Encode(hello); err != nil {
 		closeAll()
 		return
@@ -175,22 +270,18 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 		fwdWG.Wait()
 		close(subsDone)
 	}()
-	interval := s.FeedProgressInterval
-	if interval <= 0 {
-		interval = defaultFeedProgressInterval
-	}
 	var tickWG sync.WaitGroup
 	tickWG.Add(1)
 	go func() {
 		defer tickWG.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(s.cfg.FeedProgressInterval)
 		defer t.Stop()
 		for {
 			select {
 			case <-writerDone:
 				return
 			case <-t.C:
-				p := &FeedProgress{Seq: s.Src.Store.Seq(), Cursors: make(map[string]uint64, len(hello.Views))}
+				p := &FeedProgress{Seq: s.src.Store.Seq(), Cursors: make(map[string]uint64, len(hello.Views))}
 				for _, vh := range hello.Views {
 					c, _ := hub.Cursor(vh.View)
 					p.Cursors[vh.View] = c
@@ -217,7 +308,6 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 			for {
 				select {
 				case fr := <-frames:
-					s.armWrite(conn)
 					if err := enc.Encode(fr); err != nil {
 						return
 					}
@@ -226,7 +316,6 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 				}
 			}
 		case fr := <-frames:
-			s.armWrite(conn)
 			if err := enc.Encode(fr); err != nil {
 				return
 			}
@@ -234,8 +323,8 @@ func (s *Server) handleMultiSubscribe(conn net.Conn, br *bufio.Reader, enc *json
 	}
 }
 
-// MultiFeedRequest configures DialMultiFeed.
-type MultiFeedRequest struct {
+// SubscribeRequest configures DialMultiFeed.
+type SubscribeRequest struct {
 	// Views names the feeds to follow; ["*"] follows every view the
 	// server's hub knows. Names must be non-empty.
 	Views []string
@@ -262,9 +351,9 @@ type MultiFeedRequest struct {
 	ReadTimeout time.Duration
 }
 
-// MultiFeedClient follows several views' changefeeds over one TCP
+// FeedStream follows one or more views' changefeeds over one TCP
 // connection.
-type MultiFeedClient struct {
+type FeedStream struct {
 	// Seq was the primary's base sequence number at subscribe time.
 	Seq uint64
 	// Views holds the per-view handshake state, in server order.
@@ -275,11 +364,12 @@ type MultiFeedClient struct {
 	readTimeout time.Duration
 }
 
-// DialMultiFeed opens a multi-view subscribe-mode connection. Error
-// mapping: an expired resume cursor (without Snapshot) wraps
-// feed.ErrCursorExpired; a server that predates the multi-view protocol
-// is surfaced as ErrUnsupportedRequest.
-func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) {
+// DialMultiFeed opens a subscribe-mode connection. Error mapping: an
+// expired resume cursor (without Snapshot) wraps feed.ErrCursorExpired;
+// a stream-cap or drain refusal wraps ErrOverloaded (retry later); a
+// server that predates the multi-view protocol is surfaced as
+// ErrUnsupportedRequest.
+func DialMultiFeed(addr string, req SubscribeRequest) (*FeedStream, error) {
 	d := net.Dialer{Timeout: req.IOTimeout}
 	conn, err := d.Dial("tcp", addr)
 	if err != nil {
@@ -342,6 +432,9 @@ func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) 
 		if hello.Expired {
 			return nil, &feedExpiredError{msg: "warehouse: " + hello.Err}
 		}
+		if strings.Contains(hello.Err, overloadMarker) {
+			return nil, &overloadedError{msg: "warehouse: " + hello.Err}
+		}
 		return nil, fmt.Errorf("warehouse: %s", hello.Err)
 	}
 	if len(hello.Views) == 0 {
@@ -352,13 +445,13 @@ func DialMultiFeed(addr string, req MultiFeedRequest) (*MultiFeedClient, error) 
 		return nil, fmt.Errorf("%w: server predates multi-view subscriptions", ErrUnsupportedRequest)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &MultiFeedClient{Seq: hello.Seq, Views: hello.Views, conn: conn, sc: sc, readTimeout: req.ReadTimeout}, nil
+	return &FeedStream{Seq: hello.Seq, Views: hello.Views, conn: conn, sc: sc, readTimeout: req.ReadTimeout}, nil
 }
 
 // Next blocks for the next frame: exactly one of the event and progress
 // pointers is non-nil. It returns io.EOF when the server closes the
 // stream.
-func (mc *MultiFeedClient) Next() (FeedFrame, error) {
+func (mc *FeedStream) Next() (FeedFrame, error) {
 	if mc.readTimeout > 0 {
 		_ = mc.conn.SetReadDeadline(time.Now().Add(mc.readTimeout))
 	}
@@ -383,4 +476,4 @@ func (mc *MultiFeedClient) Next() (FeedFrame, error) {
 }
 
 // Close disconnects the feed.
-func (mc *MultiFeedClient) Close() { _ = mc.conn.Close() }
+func (mc *FeedStream) Close() { _ = mc.conn.Close() }

@@ -127,9 +127,9 @@ func oldFeedServer(t *testing.T, hello string) string {
 // shapes an old server can answer with — the unknown-view error for the
 // empty view name, and (when a view literally named "" exists) a live
 // single-view hello with no per-view state — surface as
-// ErrUnsupportedRequest, so callers can degrade to per-view DialFeed.
+// ErrUnsupportedRequest, so callers can report the version skew.
 func TestDialMultiFeedOldServer(t *testing.T) {
-	req := MultiFeedRequest{Views: []string{"*"}, Snapshot: true, IOTimeout: 2 * time.Second}
+	req := SubscribeRequest{Views: []string{"*"}, Snapshot: true, IOTimeout: 2 * time.Second}
 
 	errHello := fmt.Sprintf(`{"err":%q}`, feed.ErrUnknownView.Error()+": ")
 	if _, err := DialMultiFeed(oldFeedServer(t, errHello), req); !errors.Is(err, ErrUnsupportedRequest) {

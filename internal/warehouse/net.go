@@ -32,9 +32,10 @@ import (
 //   - "query": request/response pairs, one JSON object per line each way.
 //   - "reports": the server pushes update reports, one JSON object per
 //     line; the client never writes.
-//   - "subscribe": the client sends one feedRequest line naming a view
-//     (and optionally a resume cursor); the server answers a feedHello
-//     and then pushes one feed.Event per line (docs/CHANGEFEED.md).
+//   - "subscribe": the client sends one feedRequest line naming the
+//     views to follow (and optionally resume cursors); the server answers
+//     a feedHello and then pushes one FeedFrame per line (multifeed.go,
+//     docs/CHANGEFEED.md).
 //
 // Every response and report carries the source's current sequence number,
 // which feeds the warehouse's interference detection.
@@ -134,16 +135,15 @@ type netResponse struct {
 	Seq   uint64        `json:"seq"`
 }
 
-// Server exposes one Source on a listener.
-type Server struct {
-	Src *Source
+// ServerConfig configures a Server. NewServer copies it, so a running
+// server's configuration never changes. Every field is optional.
+type ServerConfig struct {
 	// Feed, when non-nil, enables the "subscribe" connection mode over
-	// this hub's changefeed. Set it before Serve; the serving
-	// application (cmd/gsdbserve) points it at the hub of the warehouse
-	// hosting its views.
+	// this hub's changefeed. The serving application (cmd/gsdbserve)
+	// points it at the hub of the warehouse hosting its views.
 	Feed *feed.Hub
 	// Obs, when non-nil, enables the "stats" query-mode request: clients
-	// receive a snapshot of this registry. Set it before Serve.
+	// receive a snapshot of this registry.
 	Obs *obs.Registry
 	// Traces, when non-nil, attaches the most recent maintenance traces
 	// to stats responses.
@@ -155,11 +155,6 @@ type Server struct {
 	// (default "primary").
 	Chains *obs.ChainRing
 	Node   string
-	// IOTimeout, when positive, bounds every frame write the server
-	// performs (query responses, report pushes, feed events) so one
-	// stalled peer cannot wedge a handler goroutine forever. Set it
-	// before Serve.
-	IOTimeout time.Duration
 	// Members, when non-nil, answers the "members" query-mode op: the
 	// full current membership of a named view. Serving applications wire
 	// it to their warehouse's FreshMembers (primaries) or the replica's
@@ -173,7 +168,7 @@ type Server struct {
 	// "stats" through so operators can inspect a lagging node.
 	ReadGate func(op string) error
 	// FeedProgressInterval paces the progress heartbeat frames on
-	// multi-view subscriptions; 0 means the 500ms default.
+	// subscriptions; 0 means the 500ms default.
 	FeedProgressInterval time.Duration
 	// ShardInfo, when non-nil, answers the "shard" query-mode op: the
 	// per-source federation handshake describing which partition this
@@ -182,8 +177,8 @@ type Server struct {
 	ShardInfo func() *ShardPayload
 	// Admission, when non-nil, enables overload protection: the
 	// connection cap, the stream cap and the weighted read semaphore
-	// (see overload.go). Set it before Serve. Nil admits everything,
-	// but Drain still sheds data reads while draining.
+	// (see overload.go). Nil admits everything, but Drain still sheds
+	// data reads while draining.
 	Admission *AdmissionController
 	// IdleTimeout, when positive, bounds how long a query-mode
 	// connection may sit idle between frames (and every connection's
@@ -197,6 +192,12 @@ type Server struct {
 	// window in which load balancers observe the 503 /readyz and stop
 	// routing here. Zero means no grace window.
 	DrainGrace time.Duration
+}
+
+// Server exposes one Source on a listener.
+type Server struct {
+	src *Source
+	cfg ServerConfig
 
 	// DroppedBroadcasts counts report frames discarded because a report
 	// stream's buffer was full (a slow or dead consumer). The consumer
@@ -217,9 +218,16 @@ type Server struct {
 	done     chan struct{}
 }
 
-// NewServer returns a server for src. Call Serve with a listener.
-func NewServer(src *Source) *Server {
-	return &Server{Src: src, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+// NewServer returns a server for src configured by cfg. Call Serve with
+// a listener.
+func NewServer(src *Source, cfg ServerConfig) *Server {
+	if cfg.FeedProgressInterval <= 0 {
+		cfg.FeedProgressInterval = defaultFeedProgressInterval
+	}
+	if cfg.Node == "" {
+		cfg.Node = "primary"
+	}
+	return &Server{src: src, cfg: cfg, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 }
 
 // Serve accepts connections until the listener closes. It returns the
@@ -247,8 +255,8 @@ func (s *Server) Serve(ln net.Listener) error {
 			// the loop.
 			var ne net.Error
 			if errors.As(err, &ne) && (ne.Timeout() || ne.Temporary()) {
-				if s.Admission != nil {
-					s.Admission.AcceptRetries.Inc()
+				if s.cfg.Admission != nil {
+					s.cfg.Admission.AcceptRetries.Inc()
 				}
 				if backoff == 0 {
 					backoff = 5 * time.Millisecond
@@ -265,7 +273,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		backoff = 0
-		if s.Admission != nil && !s.Admission.AdmitConn() {
+		if s.cfg.Admission != nil && !s.cfg.Admission.AdmitConn() {
 			// Over the connection cap: refuse at accept. An abortive
 			// close is the cheapest possible signal for both sides.
 			abortConn(conn)
@@ -275,8 +283,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		select {
 		case <-s.done:
 			s.mu.Unlock()
-			if s.Admission != nil {
-				s.Admission.ReleaseConn()
+			if s.cfg.Admission != nil {
+				s.cfg.Admission.ReleaseConn()
 			}
 			conn.Close()
 			ln.Close()
@@ -310,8 +318,8 @@ func (s *Server) ConnCount() int {
 // ctx.Err when in-flight work outlives ctx (the server closes
 // abortively in that case), nil on a clean drain.
 func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.Swap(true) && s.Admission != nil {
-		s.Admission.Drains.Inc()
+	if !s.draining.Swap(true) && s.cfg.Admission != nil {
+		s.cfg.Admission.Drains.Inc()
 	}
 	s.mu.Lock()
 	ln := s.ln
@@ -319,9 +327,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	if ln != nil {
 		_ = ln.Close()
 	}
-	if s.DrainGrace > 0 {
+	if s.cfg.DrainGrace > 0 {
 		select {
-		case <-time.After(s.DrainGrace):
+		case <-time.After(s.cfg.DrainGrace):
 		case <-ctx.Done():
 		}
 	}
@@ -408,8 +416,8 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
-		if s.Admission != nil {
-			s.Admission.ReleaseConn()
+		if s.cfg.Admission != nil {
+			s.cfg.Admission.ReleaseConn()
 		}
 	}()
 	// The mode line must arrive promptly on every connection: a client
@@ -432,18 +440,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// armWrite applies the server's write deadline to one frame write.
-func (s *Server) armWrite(conn net.Conn) {
-	if s.IOTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.IOTimeout))
-	}
-}
-
 // armRead applies the server's idle read deadline ahead of one frame
 // read.
 func (s *Server) armRead(conn net.Conn) {
-	if s.IdleTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
+	if s.cfg.IdleTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
 }
 
@@ -463,16 +464,14 @@ func (s *Server) handleQueries(conn net.Conn, br *bufio.Reader) {
 		if err := decodeFrame(line, &req); err != nil {
 			// A malformed frame gets an error response; the connection
 			// survives because framing is still intact (line-delimited).
-			s.armWrite(conn)
-			if err := enc.Encode(netResponse{Err: err.Error(), Seq: s.Src.Store.Seq()}); err != nil {
+			if err := enc.Encode(netResponse{Err: err.Error(), Seq: s.src.Store.Seq()}); err != nil {
 				return
 			}
 			continue
 		}
 		s.inflight.Add(1)
 		resp, release := s.serveOp(req)
-		resp.Seq = s.Src.Store.Seq()
-		s.armWrite(conn)
+		resp.Seq = s.src.Store.Seq()
 		err := enc.Encode(resp)
 		// The admission permit spans the response write: shipping the
 		// answer through a slow link is part of the request's cost.
@@ -494,7 +493,7 @@ func (s *Server) serveOp(req netRequest) (netResponse, func()) {
 		// answer precisely when everything else is being shed.
 		return s.dispatch(req), noop
 	}
-	ac := s.Admission
+	ac := s.cfg.Admission
 	if s.draining.Load() {
 		if ac != nil {
 			ac.ShedReads.Inc()
@@ -550,38 +549,38 @@ func (s *Server) serveOp(req netRequest) (netResponse, func()) {
 // *source's* transport; the warehouse-side client charges its own, so the
 // double-entry stays separated per site.
 func (s *Server) dispatch(req netRequest) netResponse {
-	if s.ReadGate != nil {
-		if err := s.ReadGate(req.Op); err != nil {
+	if s.cfg.ReadGate != nil {
+		if err := s.cfg.ReadGate(req.Op); err != nil {
 			return netResponse{Err: err.Error()}
 		}
 	}
 	switch req.Op {
 	case "object":
-		o, err := s.Src.FetchObject(req.OID)
+		o, err := s.src.FetchObject(req.OID)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: true, Objects: []*oem.Object{o}}
 	case "path":
-		info, ok, err := s.Src.FetchPath(req.OID)
+		info, ok, err := s.src.FetchPath(req.OID)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: ok, Info: info}
 	case "ancestor":
-		y, ok, err := s.Src.FetchAncestor(req.OID, req.Path)
+		y, ok, err := s.src.FetchAncestor(req.OID, req.Path)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: ok, OID: y}
 	case "eval":
-		objs, err := s.Src.FetchEval(req.OID, req.Path)
+		objs, err := s.src.FetchEval(req.OID, req.Path)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: true, Objects: objs}
 	case "subtree":
-		objs, err := s.Src.FetchSubtree(req.OID, req.Depth)
+		objs, err := s.src.FetchSubtree(req.OID, req.Depth)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
@@ -591,7 +590,7 @@ func (s *Server) dispatch(req netRequest) netResponse {
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
-		objs, err := s.Src.FetchQuery(q)
+		objs, err := s.src.FetchQuery(q)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
@@ -601,7 +600,7 @@ func (s *Server) dispatch(req netRequest) netResponse {
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
-		objs, err := s.Src.FetchQueryAt(q, req.At)
+		objs, err := s.src.FetchQueryAt(q, req.At)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
@@ -613,43 +612,43 @@ func (s *Server) dispatch(req netRequest) netResponse {
 		}
 		return netResponse{Found: true, Stats: payload}
 	case "trace":
-		if s.Chains == nil {
+		if s.cfg.Chains == nil {
 			// Answer exactly like an old binary so clients map it to
 			// ErrUnsupportedRequest.
 			return netResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 		}
 		return netResponse{Found: true, Trace: s.tracePayload(req.View)}
 	case "members":
-		if s.Members == nil {
+		if s.cfg.Members == nil {
 			// Answer exactly like an old binary so clients map it to
 			// ErrUnsupportedRequest.
 			return netResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 		}
-		members, err := s.Members(req.View)
+		members, err := s.cfg.Members(req.View)
 		if err != nil {
 			return netResponse{Err: err.Error()}
 		}
 		return netResponse{Found: true, Members: members}
 	case "shard":
-		if s.ShardInfo == nil {
+		if s.cfg.ShardInfo == nil {
 			// Answer exactly like an old binary so clients map it to
 			// ErrUnsupportedRequest.
 			return netResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 		}
-		return netResponse{Found: true, Shard: s.ShardInfo()}
+		return netResponse{Found: true, Shard: s.cfg.ShardInfo()}
 	default:
 		return netResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
 func (s *Server) handleReports(conn net.Conn) {
-	if s.Admission != nil {
-		if !s.Admission.AdmitStream() {
+	if s.cfg.Admission != nil {
+		if !s.cfg.Admission.AdmitStream() {
 			// Refused before the "ready" ack: the dialer's handshake
 			// fails and its redial policy retries later.
 			return
 		}
-		defer s.Admission.ReleaseStream()
+		defer s.cfg.Admission.ReleaseStream()
 	}
 	ch := make(chan []byte, 256)
 	s.mu.Lock()
@@ -664,7 +663,6 @@ func (s *Server) handleReports(conn net.Conn) {
 	defer s.removeStream(ch)
 	// Acknowledge registration so the dialer knows subsequent broadcasts
 	// will reach this stream.
-	s.armWrite(conn)
 	if _, err := io.WriteString(conn, "ready\n"); err != nil {
 		return
 	}
@@ -674,7 +672,6 @@ func (s *Server) handleReports(conn net.Conn) {
 		case <-s.done:
 			return
 		case data := <-ch:
-			s.armWrite(conn)
 			if _, err := w.Write(append(data, '\n')); err != nil {
 				return
 			}
@@ -697,288 +694,6 @@ func (s *Server) removeStream(ch chan []byte) {
 		}
 	}
 }
-
-// feedRequest is the first (and only) frame a subscribe-mode client
-// sends: which view to follow and how.
-type feedRequest struct {
-	// View names the feed to follow.
-	View string `json:"view"`
-	// Resume, when true, asks for replay of every event after From.
-	Resume bool `json:"resume,omitempty"`
-	// From is the last cursor the client consumed; meaningful only with
-	// Resume.
-	From uint64 `json:"from,omitempty"`
-	// Snapshot requests a full-membership snapshot instead of an error
-	// when the resume cursor has been evicted from the replay ring.
-	Snapshot bool `json:"snapshot,omitempty"`
-	// Policy selects the slow-consumer policy ("block", "drop-oldest",
-	// "disconnect"); empty means the hub default.
-	Policy string `json:"policy,omitempty"`
-	// Buffer sizes the per-subscriber channel; 0 means the hub default.
-	Buffer int `json:"buffer,omitempty"`
-	// Views, when non-empty, selects the multi-view subscription mode:
-	// one connection carries every named view's events plus periodic
-	// progress frames (docs/REPLICA.md). ["*"] subscribes to every view
-	// the hub knows. View/Resume/From are ignored; per-view resume
-	// cursors travel in Froms. Old servers ignore this field and answer
-	// a single-view hello for the empty View — clients detect that as a
-	// version mismatch (ErrUnsupportedRequest).
-	Views []string `json:"views,omitempty"`
-	// Froms maps view name to the last cursor the client consumed; a
-	// view listed in Views but absent here tails from the current cursor
-	// (with a full snapshot when Snapshot is set).
-	Froms map[string]uint64 `json:"froms,omitempty"`
-}
-
-// FeedSnapshot carries a full view membership when a resume cursor has
-// expired and the client asked for snapshot fallback.
-type FeedSnapshot struct {
-	// Cursor is the feed position the membership corresponds to; resume
-	// from it after applying Members.
-	Cursor uint64 `json:"cursor"`
-	// Members is the complete view membership at Cursor.
-	Members []oem.OID `json:"members"`
-}
-
-// feedHello is the server's first frame in subscribe mode. Either Err is
-// set (and the connection closes), or the subscription is live.
-type feedHello struct {
-	Err string `json:"err,omitempty"`
-	// Expired marks Err as a cursor-expiry (feed.ErrCursorExpired), so
-	// clients can distinguish "resubscribe with snapshot" from fatal
-	// errors.
-	Expired bool   `json:"expired,omitempty"`
-	View    string `json:"view,omitempty"`
-	// Cursor is the feed's current position at subscribe time.
-	Cursor uint64 `json:"cursor"`
-	// Oldest is the oldest cursor still in the replay ring.
-	Oldest uint64 `json:"oldest"`
-	// Snapshot is present when the resume cursor was evicted and the
-	// client asked for snapshot fallback.
-	Snapshot *FeedSnapshot `json:"snapshot,omitempty"`
-	// Seq and Views answer multi-view subscriptions (feedRequest.Views):
-	// the primary's base sequence number at subscribe time and one
-	// handshake entry per subscribed view. Single-view subscriptions
-	// leave them empty.
-	Seq   uint64          `json:"seq,omitempty"`
-	Views []FeedViewHello `json:"views,omitempty"`
-}
-
-func (s *Server) handleSubscribe(conn net.Conn, br *bufio.Reader) {
-	enc := json.NewEncoder(conn)
-	s.mu.Lock()
-	hub := s.Feed
-	s.mu.Unlock()
-	if hub == nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: "warehouse: server has no feed"})
-		return
-	}
-	sc := frameScanner(br)
-	s.armRead(conn)
-	if !sc.Scan() {
-		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	var req feedRequest
-	if err := decodeFrame(sc.Bytes(), &req); err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error()})
-		return
-	}
-	if s.Admission != nil {
-		if !s.Admission.AdmitStream() {
-			s.armWrite(conn)
-			_ = enc.Encode(feedHello{Err: ErrOverloaded.Error()})
-			return
-		}
-		defer s.Admission.ReleaseStream()
-	}
-	if len(req.Views) > 0 {
-		s.handleMultiSubscribe(conn, br, enc, hub, req)
-		return
-	}
-	policy, err := feed.ParsePolicy(req.Policy)
-	if err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error()})
-		return
-	}
-	sub, err := hub.Subscribe(req.View, feed.SubOptions{
-		Resume:           req.Resume,
-		From:             req.From,
-		Buffer:           req.Buffer,
-		Policy:           policy,
-		HasPolicy:        req.Policy != "",
-		SnapshotOnExpire: req.Snapshot,
-	})
-	if err != nil {
-		s.armWrite(conn)
-		_ = enc.Encode(feedHello{Err: err.Error(), Expired: errors.Is(err, feed.ErrCursorExpired)})
-		return
-	}
-	defer sub.Close()
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return
-	default:
-	}
-	s.feedSubs = append(s.feedSubs, sub)
-	s.mu.Unlock()
-
-	hello := feedHello{View: req.View}
-	hello.Cursor, _ = hub.Cursor(req.View)
-	hello.Oldest = hub.OldestRetained(req.View)
-	if snap := sub.Snapshot(); snap != nil {
-		hello.Snapshot = &FeedSnapshot{Cursor: snap.Cursor, Members: snap.Members}
-	}
-	s.armWrite(conn)
-	if err := enc.Encode(hello); err != nil {
-		return
-	}
-	// Drain the client side so a peer disconnect tears the subscription
-	// down even while the event loop is idle (or blocked publishing).
-	go func() {
-		_, _ = io.Copy(io.Discard, br)
-		sub.Close()
-	}()
-	for ev := range sub.Events() {
-		s.armWrite(conn)
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-	}
-}
-
-// FeedRequest configures DialFeed.
-type FeedRequest struct {
-	// View names the feed to follow.
-	View string
-	// Resume asks for replay of every event after From.
-	Resume bool
-	// From is the last cursor consumed; meaningful only with Resume.
-	From uint64
-	// Snapshot requests full-membership fallback when From has been
-	// evicted from the server's replay ring.
-	Snapshot bool
-	// Policy selects the server-side slow-consumer policy ("block",
-	// "drop-oldest", "disconnect"); empty means the server default.
-	Policy string
-	// Buffer sizes the server-side subscriber channel; 0 means default.
-	Buffer int
-}
-
-// FeedClient follows one view's changefeed over TCP (subscribe mode).
-type FeedClient struct {
-	// View is the followed view's name.
-	View string
-	// Cursor was the feed position at subscribe time.
-	Cursor uint64
-	// Oldest was the oldest replayable cursor at subscribe time.
-	Oldest uint64
-	// Snapshot is non-nil when the server answered a resume with a full
-	// membership snapshot (the requested cursor had expired).
-	Snapshot *FeedSnapshot
-
-	conn net.Conn
-	sc   *bufio.Scanner
-}
-
-// DialFeed opens a subscribe-mode connection for one view. When the
-// server reports that the resume cursor has expired and no snapshot was
-// requested, the returned error wraps feed.ErrCursorExpired so callers
-// can retry with FeedRequest.Snapshot set.
-func DialFeed(addr string, req FeedRequest) (*FeedClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.WriteString(conn, "subscribe\n"); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	frame, err := json.Marshal(feedRequest{
-		View:     req.View,
-		Resume:   req.Resume,
-		From:     req.From,
-		Snapshot: req.Snapshot,
-		Policy:   req.Policy,
-		Buffer:   req.Buffer,
-	})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(append(frame, '\n')); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	sc := frameScanner(conn)
-	if !sc.Scan() {
-		conn.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("warehouse: feed handshake: %w", err)
-		}
-		return nil, errors.New("warehouse: feed handshake: connection closed")
-	}
-	var hello feedHello
-	if err := decodeFrame(sc.Bytes(), &hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if hello.Err != "" {
-		conn.Close()
-		// hello.Err already carries the hub's "feed: ..." prefix.
-		if hello.Expired {
-			return nil, &feedExpiredError{msg: "warehouse: " + hello.Err}
-		}
-		if strings.Contains(hello.Err, overloadMarker) {
-			return nil, &overloadedError{msg: "warehouse: " + hello.Err}
-		}
-		return nil, fmt.Errorf("warehouse: %s", hello.Err)
-	}
-	return &FeedClient{
-		View:     hello.View,
-		Cursor:   hello.Cursor,
-		Oldest:   hello.Oldest,
-		Snapshot: hello.Snapshot,
-		conn:     conn,
-		sc:       sc,
-	}, nil
-}
-
-// feedExpiredError carries the server's expired-cursor message while
-// keeping errors.Is(err, feed.ErrCursorExpired) true across the wire,
-// without repeating the sentinel's text in the rendered message.
-type feedExpiredError struct{ msg string }
-
-func (e *feedExpiredError) Error() string { return e.msg }
-func (e *feedExpiredError) Unwrap() error { return feed.ErrCursorExpired }
-
-// Next blocks for the next event. It returns io.EOF when the server
-// closes the stream.
-func (fc *FeedClient) Next() (feed.Event, error) {
-	for fc.sc.Scan() {
-		line := fc.sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var ev feed.Event
-		if err := decodeFrame(line, &ev); err != nil {
-			return feed.Event{}, err
-		}
-		return ev, nil
-	}
-	if err := fc.sc.Err(); err != nil {
-		return feed.Event{}, err
-	}
-	return feed.Event{}, io.EOF
-}
-
-// Close disconnects the feed.
-func (fc *FeedClient) Close() { _ = fc.conn.Close() }
 
 // DialOptions configures the fault tolerance of a RemoteSource.
 type DialOptions struct {

@@ -46,7 +46,7 @@ func restartServer(t *testing.T, src *Source, addr string) *Server {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 	go func() { _ = server.Serve(ln) }()
 	t.Cleanup(server.Close)
 	return server
@@ -62,7 +62,7 @@ func TestNetQuerySurvivesServerRestart(t *testing.T) {
 	s.MustPut(oem.NewAtom("A1", "age", oem.Int(45)))
 	src := NewSource("persons", s, "ROOT", Level2, NewTransport(0))
 	src.DrainReports()
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestNetReportStreamReconnectRecordsGap(t *testing.T) {
 	s.MustPut(oem.NewSet("ROOT", "root"))
 	src := NewSource("persons", s, "ROOT", Level2, NewTransport(0))
 	src.DrainReports()
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func startNetSource(t *testing.T, level ReportLevel) (*Source, *Server, *RemoteS
 	srcTr := NewTransport(0)
 	src := NewSource("persons", s, "ROOT", level, srcTr)
 	src.DrainReports()
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -34,10 +34,11 @@ func TestOverloadDrainSoak(t *testing.T) {
 		MaxQueue:    4,
 		QueueWait:   5 * time.Millisecond,
 	})
-	server := NewServer(src)
-	server.Admission = ac
-	server.IdleTimeout = 2 * time.Second
-	server.DrainGrace = 10 * time.Millisecond
+	server := NewServer(src, ServerConfig{
+		Admission:   ac,
+		IdleTimeout: 2 * time.Second,
+		DrainGrace:  10 * time.Millisecond,
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

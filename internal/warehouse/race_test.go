@@ -37,9 +37,7 @@ func TestConcurrentBroadcastQueryBacksAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	server := NewServer(src)
-	server.Obs = reg
-	server.Traces = w.Traces
+	server := NewServer(src, ServerConfig{Obs: reg, Traces: w.Traces})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -67,8 +67,7 @@ func TestShardChaosSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		addrs[k] = ln.Addr().String()
-		servers[k] = NewServer(srcs[k])
-		servers[k].ShardInfo = shardInfo(k)
+		servers[k] = NewServer(srcs[k], ServerConfig{ShardInfo: shardInfo(k)})
 		srv := servers[k]
 		go func() { _ = srv.Serve(injs[k].WrapListener(ln)) }()
 
@@ -249,8 +248,7 @@ func TestShardChaosSoak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	servers[dead] = NewServer(srcs[dead])
-	servers[dead].ShardInfo = shardInfo(dead)
+	servers[dead] = NewServer(srcs[dead], ServerConfig{ShardInfo: shardInfo(dead)})
 	srv := servers[dead]
 	go func() { _ = srv.Serve(injs[dead].WrapListener(ln2)) }()
 

@@ -14,12 +14,12 @@ import (
 // exact frame a shard request produces. Field renames break this test
 // on purpose.
 func TestShardGoldenFrame(t *testing.T) {
-	server := &Server{ShardInfo: func() *ShardPayload {
+	server := NewServer(nil, ServerConfig{ShardInfo: func() *ShardPayload {
 		return &ShardPayload{
 			Node: "primary", Source: "source2", Shard: 2, Shards: 4,
 			Seq: 41, State: "up", Watermark: 1700000000000000000,
 		}
-	}}
+	}})
 	resp := server.dispatch(netRequest{Op: "shard"})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
@@ -42,13 +42,12 @@ func TestShardRoundTrip(t *testing.T) {
 	workload.PersonDB(s)
 	src := NewSource("source0", s, "ROOT", Level2, NewTransport(0))
 	src.DrainReports()
-	server := NewServer(src)
-	server.ShardInfo = func() *ShardPayload {
+	server := NewServer(src, ServerConfig{ShardInfo: func() *ShardPayload {
 		return &ShardPayload{
 			Node: "node0", Source: "source0", Shard: 0, Shards: 8,
 			Seq: src.Store.Seq(), State: SourceUp.String(),
 		}
-	}
+	}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestChaosSoakKillRestartUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	server := NewServer(src)
+	server := NewServer(src, ServerConfig{})
 	go func() { _ = server.Serve(inj.WrapListener(ln)) }()
 	defer func() { server.Close() }()
 
@@ -140,7 +140,7 @@ func TestChaosSoakKillRestartUnderFaults(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	server = NewServer(src)
+	server = NewServer(src, ServerConfig{})
 	go func() { _ = server.Serve(inj.WrapListener(ln2)) }()
 
 	for i := 0; i < 40; i++ {

@@ -39,12 +39,12 @@ const errNoStatsRegistry = "warehouse: server has no stats registry"
 // and trace ring. It returns an error string for the wire when the
 // server has no registry.
 func (s *Server) statsPayload() (*StatsPayload, string) {
-	if s.Obs == nil {
+	if s.cfg.Obs == nil {
 		return nil, errNoStatsRegistry
 	}
 	return &StatsPayload{
-		Registry: s.Obs.Snapshot(),
-		Traces:   s.Traces.Snapshot(),
+		Registry: s.cfg.Obs.Snapshot(),
+		Traces:   s.cfg.Traces.Snapshot(),
 	}, ""
 }
 

@@ -33,10 +33,7 @@ func obsFixture(t *testing.T) (*Source, *Warehouse, *WView, *Server, *RemoteSour
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := NewServer(src)
-	server.Obs = reg
-	server.Traces = w.Traces
-	server.Chains = w.Chains
+	server := NewServer(src, ServerConfig{Obs: reg, Traces: w.Traces, Chains: w.Chains})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +134,7 @@ func TestStatsGoldenFrame(t *testing.T) {
 		Stages:     []obs.Stage{{Name: "screen", Nanos: 10}, {Name: "cache", Nanos: 5}, {Name: "maintain", Nanos: 85}},
 		TotalNanos: 100,
 	})
-	server := &Server{Obs: reg, Traces: ring}
+	server := NewServer(nil, ServerConfig{Obs: reg, Traces: ring})
 
 	resp := server.dispatch(netRequest{Op: "stats"})
 	if resp.Err != "" {

@@ -33,11 +33,7 @@ type TracePayload struct {
 // tracePayload builds the trace response body, filtered to one view
 // when view is non-empty.
 func (s *Server) tracePayload(view string) *TracePayload {
-	node := s.Node
-	if node == "" {
-		node = "primary"
-	}
-	chains := s.Chains.Snapshot()
+	chains := s.cfg.Chains.Snapshot()
 	if view != "" {
 		kept := chains[:0]
 		for _, c := range chains {
@@ -47,7 +43,7 @@ func (s *Server) tracePayload(view string) *TracePayload {
 		}
 		chains = kept
 	}
-	return &TracePayload{Node: node, Chains: chains, Total: s.Chains.Total()}
+	return &TracePayload{Node: s.cfg.Node, Chains: chains, Total: s.cfg.Chains.Total()}
 }
 
 // FetchTrace asks the connected node for its recent propagation span

@@ -93,7 +93,7 @@ func TestTraceGoldenFrame(t *testing.T) {
 			{Node: "primary", View: "V1", Stage: "maintain", Start: 15, Nanos: 85},
 		},
 	})
-	server := &Server{Chains: ring}
+	server := NewServer(nil, ServerConfig{Chains: ring})
 
 	resp := server.dispatch(netRequest{Op: "trace"})
 	if resp.Err != "" {
@@ -145,7 +145,7 @@ func TestTraceViewFilterKeepsWALChains(t *testing.T) {
 		Spans: []obs.Span{{Node: "primary", Stage: "wal", Nanos: 3}}})
 	ring.Add(obs.SpanChain{TraceID: "t-1", View: "V1", Origin: 1, Node: "primary"})
 	ring.Add(obs.SpanChain{TraceID: "t-1", View: "V2", Origin: 1, Node: "primary"})
-	server := &Server{Chains: ring, Node: "p0"}
+	server := NewServer(nil, ServerConfig{Chains: ring, Node: "p0"})
 
 	p := server.tracePayload("V1")
 	if p.Node != "p0" {
